@@ -88,9 +88,7 @@ def _save(result: ExperimentResult, out_dir: Path) -> None:
 def serve_experiment(*, graph=None, kind: str = "dag", nodes: int = 2000,
                      edges: int = 2600, scheme: str = "dual-i",
                      num_queries: int = 100_000, batch_size: int = 8192,
-                     cache_size: int = 0, max_workers: int = 1,
-                     chunk_size: int = 32_768, seed: int = 0,
-                     baseline: bool = False) -> dict:
+                     seed: int = 0, baseline: bool = False) -> dict:
     """Drive a query workload through :class:`QueryService`; return the
     serving metrics (plus setup context and, optionally, the scalar-loop
     baseline comparison) as one flat report dict.
@@ -120,12 +118,8 @@ def serve_experiment(*, graph=None, kind: str = "dag", nodes: int = 2000,
         "build_seconds": built.seconds,
         "num_queries": len(pairs),
         "batch_size": batch_size,
-        "cache_size": cache_size,
-        "max_workers": max_workers,
     }
-    with QueryService(built.index, cache_size=cache_size,
-                      max_workers=max_workers,
-                      chunk_size=chunk_size) as service:
+    with QueryService(built.index) as service:
         report["vectorised"] = service.vectorised
         for batch in chunked(pairs, batch_size):
             service.query_batch(batch)
@@ -204,9 +198,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     report = serve_experiment(
         graph=graph, kind=args.kind, nodes=args.nodes, edges=args.edges,
         scheme=args.scheme, num_queries=args.queries,
-        batch_size=args.batch_size, cache_size=args.cache,
-        max_workers=args.workers, chunk_size=args.chunk_size,
-        seed=args.seed, baseline=args.baseline)
+        batch_size=args.batch_size, seed=args.seed,
+        baseline=args.baseline)
     print(format_kv_table(
         report, title=f"QueryService — {args.scheme} serving "
                       f"{report['num_queries']} queries"))
@@ -448,12 +441,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                        help="workload size (paper protocol: 100k)")
     serve.add_argument("--batch-size", type=int, default=8192,
                        help="queries per service batch")
-    serve.add_argument("--cache", type=int, default=0,
-                       help="LRU result-cache entries (0 disables)")
-    serve.add_argument("--workers", type=int, default=1,
-                       help="shard thread-pool width")
-    serve.add_argument("--chunk-size", type=int, default=32_768,
-                       help="shard granularity in queries")
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument("--baseline", action="store_true",
                        help="also time the scalar reachable loop and "

@@ -385,7 +385,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         metrics_port=args.metrics_port,
         slow_log_size=args.slow_log_size,
         span_sample=args.span_sample,
-        executor_workers=args.executor_threads,
         slo_defaults=slo_defaults,
         flight_dir=flight_dir,
         state=state)
@@ -475,8 +474,7 @@ def _serve_fleet(args: argparse.Namespace, index, scheme: str,
         max_conn_inflight=args.max_conn_inflight,
         request_timeout=args.request_timeout,
         slow_log_size=args.slow_log_size,
-        span_sample=args.span_sample,
-        executor_workers=args.executor_threads)
+        span_sample=args.span_sample)
     if slo_defaults is not None:
         server_options["slo_defaults"] = slo_defaults
     if flight_dir is not None:
@@ -1147,8 +1145,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                        help="worker processes sharing the port via "
                             "SO_REUSEPORT, each attaching the index "
                             "from shared memory (1 = single-process)")
-    serve.add_argument("--executor-threads", type=int, default=1,
-                       help="kernel executor threads per process")
     serve.add_argument("--access-log", default=None,
                        help="structured JSON access-log file "
                             "('-' for stderr)")

@@ -35,8 +35,8 @@ disables the compiled path at runtime even when built.
 
 Thread safety: a kernel owns one buffer set guarded by ``self.lock``;
 :meth:`run_frames` and :meth:`query_ids` serialise on it.  The serving
-gateway runs one kernel per query-executor thread population (which PR
-3 fixed at one thread), so the lock is uncontended there.
+gateway evaluates every flush on one query thread per process, so the
+lock is uncontended there.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""The QueryService serving layer: batched, cached, sharded queries.
+"""The QueryService serving layer: batched queries over any index.
 
 The paper's evaluation hammers each index with 100,000-query loops
 (Section 6, Figures 8–14), and the applications it motivates — XML path
@@ -11,19 +11,13 @@ traffic, over *any* registered scheme:
   when one exists (Dual-I, Dual-II, closure, interval) and fall back to
   the scalar ``reachable`` loop otherwise, so every scheme serves the
   same API at its best available speed;
-* **sharded execution** — large batches split into chunks dispatched
-  over a thread pool (``max_workers > 1``), keeping latency flat as
-  batch sizes grow;
-* **LRU result cache** — optional, keyed on *component-id* pairs, so
-  every member of an SCC shares one cache entry and repeated traffic
-  (hot join patterns, retried queries) short-circuits the kernel;
-* **observability** — per-stage timers plus query/cache counters in
+* **observability** — per-stage timers plus query counters in
   :class:`ServiceMetrics`, renderable with
   :func:`repro.bench.reporting.format_kv_table` and surfaced by the
   ``python -m repro.bench serve`` CLI.
 
-The service is thread-safe: the cache and metrics are guarded by a lock,
-and the kernels themselves are read-only after construction.
+The service is thread-safe: the metrics live in a locked registry, and
+the kernels themselves are read-only after construction.
 
 >>> from repro.graph.generators import single_rooted_dag
 >>> from repro.core.base import build_index
@@ -34,10 +28,7 @@ True
 
 from __future__ import annotations
 
-import threading
 import time
-from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -54,31 +45,28 @@ class ServiceMetrics:
     backed by a :class:`~repro.obs.metrics.MetricsRegistry`.
 
     The counters keep their historical read API (``metrics.queries``,
-    ``metrics.cache_hit_rate``, :meth:`as_dict` with the same keys) but
-    live in ``reach_service_*`` metric families, so the gateway's
-    Prometheus exposition and the ``stats`` verb report the very same
-    numbers, and :meth:`as_dict` with ``reset=True`` is an *atomic*
-    read-and-zero per counter — an increment racing a reset lands
-    either in the returned snapshot or in the fresh window, never
-    nowhere.
+    :meth:`as_dict`) but live in ``reach_service_*`` metric families,
+    so the gateway's Prometheus exposition and the ``stats`` verb
+    report the very same numbers, and :meth:`as_dict` with
+    ``reset=True`` is an *atomic* read-and-zero per counter — an
+    increment racing a reset lands either in the returned snapshot or
+    in the fresh window, never nowhere.
 
     Counter semantics:
 
     queries / batches / positives:
         Totals since creation or the last reset.
-    cache_hits / cache_misses:
-        Result-cache traffic; both stay 0 with the cache disabled.
     kernel_queries / scalar_queries:
         How many queries were answered by the vectorised kernel versus
         the scalar fallback loop.
     stage_seconds:
         Wall-clock per pipeline stage: ``map`` (node → component ids),
-        ``cache`` (lookup + fill), ``kernel`` (vectorised evaluation),
-        ``scalar`` (fallback loop), ``total`` (whole batches).
+        ``kernel`` (vectorised evaluation), ``scalar`` (fallback
+        loop), ``total`` (whole batches).
     """
 
-    _COUNTERS = ("queries", "batches", "positives", "cache_hits",
-                 "cache_misses", "kernel_queries", "scalar_queries")
+    _COUNTERS = ("queries", "batches", "positives", "kernel_queries",
+                 "scalar_queries")
 
     def __init__(self, registry: MetricsRegistry | None = None) -> None:
         #: The backing registry — merged into the gateway's Prometheus
@@ -121,12 +109,6 @@ class ServiceMetrics:
         self._counters["scalar_queries"].inc(queries)
         self._stages.labels("scalar").inc(seconds)
 
-    def count_cache(self, hits: int, misses: int) -> None:
-        if hits:
-            self._counters["cache_hits"].inc(hits)
-        if misses:
-            self._counters["cache_misses"].inc(misses)
-
     def reset(self) -> None:
         """Zero every counter and timer and restart the uptime clock.
 
@@ -161,13 +143,6 @@ class ServiceMetrics:
         return time.monotonic() - self.started_at
 
     @property
-    def cache_hit_rate(self) -> float:
-        """Hits over total cache probes (0.0 when the cache is idle)."""
-        hits = self._counters["cache_hits"].value
-        probes = hits + self._counters["cache_misses"].value
-        return hits / probes if probes else 0.0
-
-    @property
     def queries_per_second(self) -> float:
         """Lifetime throughput over the ``total`` stage timer."""
         seconds = self.stage_seconds.get("total", 0.0)
@@ -197,16 +172,11 @@ class ServiceMetrics:
                   ((stage, child.snapshot(reset=reset))
                    for stage, child in stage_rows)
                   if value > 0.0}
-        probes = counts["cache_hits"] + counts["cache_misses"]
         total = stages.get("total", 0.0)
         row: dict[str, Any] = {
             "queries": counts["queries"],
             "batches": counts["batches"],
             "positives": counts["positives"],
-            "cache_hits": counts["cache_hits"],
-            "cache_misses": counts["cache_misses"],
-            "cache_hit_rate": (counts["cache_hits"] / probes
-                               if probes else 0.0),
             "kernel_queries": counts["kernel_queries"],
             "scalar_queries": counts["scalar_queries"],
             "queries_per_second": (counts["queries"] / total
@@ -228,55 +198,27 @@ class QueryService:
     ----------
     index:
         Any registered :class:`~repro.core.base.ReachabilityIndex`.
-    cache_size:
-        Maximum entries of the LRU result cache; ``0`` (default)
-        disables caching.  Keys are component-id pairs when the scheme
-        exposes label arrays, raw node pairs otherwise.  Note the cache
-        costs one dict probe per query, which on vectorised backends can
-        exceed the kernel cost unless traffic actually repeats.
-    max_workers:
-        Thread-pool width for sharded execution; ``1`` (default) runs
-        batches serially on the calling thread.
-    chunk_size:
-        Shard granularity: batches of at most this many pairs run
-        unsharded; larger ones split into ``chunk_size`` pieces.
 
-    The service is a context manager; :meth:`close` releases the pool.
+    Batches run on the calling thread.  The service is a context
+    manager; :meth:`close` is kept for that protocol and releases
+    nothing.
     """
 
-    def __init__(self, index: ReachabilityIndex, *,
-                 cache_size: int = 0,
-                 max_workers: int = 1,
-                 chunk_size: int = 32_768) -> None:
-        if cache_size < 0:
-            raise ValueError(f"cache_size must be >= 0, got {cache_size}")
-        if max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    def __init__(self, index: ReachabilityIndex) -> None:
         self.index = index
         self._arrays: LabelArrays | None = index.label_arrays()
-        self._cache: OrderedDict[tuple, bool] | None = (
-            OrderedDict() if cache_size else None)
-        self._cache_size = cache_size
-        self._max_workers = max_workers
-        self._chunk_size = chunk_size
-        self._pool: ThreadPoolExecutor | None = None
-        self._lock = threading.Lock()
         # Lazily-built FastKernel (``False`` = not attempted yet); one
         # per service, so a hot-swapped index gets a fresh kernel.
         self._fast_kernel: Any = False
         self.metrics = ServiceMetrics()
 
     @classmethod
-    def from_shared_memory(cls, segment: str,
-                           **options) -> "QueryService":
+    def from_shared_memory(cls, segment: str) -> "QueryService":
         """A service over the index published under shared-memory
         segment ``segment`` (see :mod:`repro.core.shm`).
 
         The worker-fleet attach path: each worker process calls this
         instead of rebuilding the index, so N workers share one build.
-        ``options`` are the regular constructor keywords.
 
         Raises
         ------
@@ -288,7 +230,7 @@ class QueryService:
         """
         from repro.core.shm import attach_index
 
-        return cls(attach_index(segment), **options)
+        return cls(attach_index(segment))
 
     # -- public API -----------------------------------------------------
     @property
@@ -299,7 +241,7 @@ class QueryService:
     def query(self, u: Node, v: Node) -> bool:
         """Single reachability query through the serving pipeline.
 
-        Shares the cache and metrics with :meth:`query_batch`; latency-
+        Shares the metrics with :meth:`query_batch`; latency-
         critical scalar loops that need none of that should call
         ``index.reachable`` directly.
         """
@@ -329,8 +271,7 @@ class QueryService:
         """Dense ``len(sources) × len(targets)`` boolean matrix.
 
         The cross-product form of :meth:`query_batch` — the paper's XML
-        structural-join pattern.  Bypasses the result cache (a dense
-        cross product has no repeated component pairs to exploit).
+        structural-join pattern.
 
         Raises
         ------
@@ -388,10 +329,6 @@ class QueryService:
         decoded and routed through :meth:`query_batch`, so every scheme
         still answers binary traffic — just not at zero-copy speed.
 
-        Bypasses the LRU result cache (like :meth:`query_matrix`): the
-        binary protocol targets bulk streams where the per-query dict
-        probe would dominate the kernel.
-
         Raises
         ------
         QueryError
@@ -415,17 +352,8 @@ class QueryService:
                             bitorder="little").tobytes())
         return bitmaps
 
-    def clear_cache(self) -> None:
-        """Drop every cached result (metrics are kept)."""
-        with self._lock:
-            if self._cache is not None:
-                self._cache.clear()
-
     def close(self) -> None:
-        """Shut the shard pool down (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        """Release the service (a no-op: it holds no threads)."""
 
     def __enter__(self) -> "QueryService":
         return self
@@ -435,9 +363,7 @@ class QueryService:
 
     def __repr__(self) -> str:
         mode = "vectorised" if self.vectorised else "scalar"
-        return (f"QueryService({type(self.index).__name__}, mode={mode}, "
-                f"cache_size={self._cache_size}, "
-                f"max_workers={self._max_workers})")
+        return f"QueryService({type(self.index).__name__}, mode={mode})"
 
     # -- vectorised path ------------------------------------------------
     def _batch_vector(self, pairs: list[tuple[Node, Node]]
@@ -449,33 +375,16 @@ class QueryService:
         mapped = time.perf_counter()
         cu, cv = arrays.pair_components(pairs)
         self.metrics.add_stage("map", time.perf_counter() - mapped)
-        if self._cache is None:
-            out = self._run_kernel(cu, cv)
-            return out.tolist(), int(out.sum())
-        answers = self._cached_eval(
-            keys=list(zip(cu.tolist(), cv.tolist())),
-            evaluate=lambda idx: self._run_kernel(
-                cu[idx], cv[idx]).tolist())
-        return answers, sum(answers)
+        out = self._run_kernel(cu, cv)
+        return out.tolist(), int(out.sum())
 
     def _run_kernel(self, cu: np.ndarray, cv: np.ndarray) -> np.ndarray:
-        """Evaluate component-id vectors, sharding over the pool."""
+        """Evaluate component-id vectors through the label arrays."""
         arrays = self._arrays
         assert arrays is not None
-        n = len(cu)
         started = time.perf_counter()
-        if self._max_workers == 1 or n <= self._chunk_size:
-            out = arrays.query_components(cu, cv)
-        else:
-            num_chunks = -(-n // self._chunk_size)
-            futures = [
-                self._ensure_pool().submit(
-                    arrays.query_components, chunk_u, chunk_v)
-                for chunk_u, chunk_v in zip(
-                    np.array_split(cu, num_chunks),
-                    np.array_split(cv, num_chunks))]
-            out = np.concatenate([f.result() for f in futures])
-        self.metrics.count_kernel(n, time.perf_counter() - started)
+        out = arrays.query_components(cu, cv)
+        self.metrics.count_kernel(len(cu), time.perf_counter() - started)
         return out
 
     # -- scalar fallback path -------------------------------------------
@@ -483,84 +392,8 @@ class QueryService:
                       ) -> tuple[list[bool], int]:
         if not pairs:
             return [], 0
-        if self._cache is None:
-            answers = self._scalar_eval(pairs)
-        else:
-            answers = self._cached_eval(
-                keys=pairs,
-                evaluate=lambda idx: self._scalar_eval(
-                    [pairs[i] for i in idx]))
-        return answers, sum(answers)
-
-    def _scalar_eval(self, pairs: list[tuple[Node, Node]]) -> list[bool]:
-        """Scalar ``reachable`` loop, sharded over the pool when wide.
-
-        Threads only overlap interpreter time with other blocking work
-        (the GIL serialises pure-Python loops), but sharding keeps the
-        code path identical to the kernel case and lets C-backed schemes
-        benefit.
-        """
         started = time.perf_counter()
-        if self._max_workers == 1 or len(pairs) <= self._chunk_size:
-            answers = self.index.reachable_many(pairs)
-        else:
-            chunks = [pairs[i:i + self._chunk_size]
-                      for i in range(0, len(pairs), self._chunk_size)]
-            futures = [self._ensure_pool().submit(
-                self.index.reachable_many, chunk) for chunk in chunks]
-            answers = [a for f in futures for a in f.result()]
+        answers = self.index.reachable_many(pairs)
         self.metrics.count_scalar(len(pairs),
                                   time.perf_counter() - started)
-        return answers
-
-    # -- cache ----------------------------------------------------------
-    def _cached_eval(self, keys: list[tuple], evaluate) -> list[bool]:
-        """Answer ``keys`` through the LRU cache; misses go to
-        ``evaluate`` (called with the miss positions, in order)."""
-        cache = self._cache
-        assert cache is not None
-        started = time.perf_counter()
-        answers: list = [False] * len(keys)
-        misses: list[int] = []
-        hits = 0
-        # Dedupe within the batch too: repeated keys evaluate once.
-        pending: dict[tuple, list[int]] = {}
-        with self._lock:
-            for i, key in enumerate(keys):
-                if key in cache:
-                    cache.move_to_end(key)
-                    answers[i] = cache[key]
-                    hits += 1
-                elif key in pending:
-                    pending[key].append(i)
-                    hits += 1
-                else:
-                    pending[key] = []
-                    misses.append(i)
-        self.metrics.count_cache(hits, len(misses))
-        self.metrics.add_stage("cache", time.perf_counter() - started)
-        if misses:
-            fresh = evaluate(misses)
-            fill = time.perf_counter()
-            with self._lock:
-                for i, answer in zip(misses, fresh):
-                    answer = bool(answer)
-                    key = keys[i]
-                    answers[i] = answer
-                    for j in pending[key]:
-                        answers[j] = answer
-                    cache[key] = answer
-                    cache.move_to_end(key)
-                while len(cache) > self._cache_size:
-                    cache.popitem(last=False)
-            self.metrics.add_stage("cache",
-                                   time.perf_counter() - fill)
-        return answers
-
-    # -- pool -----------------------------------------------------------
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self._max_workers,
-                thread_name_prefix="repro-query")
-        return self._pool
+        return answers, sum(answers)

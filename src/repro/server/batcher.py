@@ -7,15 +7,23 @@ arriving on different connections within a small window should share
 one ``query_batch()`` invocation.  :class:`MicroBatcher` implements the
 standard size-or-deadline trigger:
 
-* every submitted request appends its pairs to one shared buffer;
+* every submitted request appends its payload to one shared buffer;
 * the buffer flushes immediately once it holds ``max_batch`` pairs, or
   after ``max_delay`` seconds from the first buffered request —
   whichever comes first (``max_delay <= 0`` or ``max_batch <= 1``
   degenerates to one flush per request, the unbatched baseline the
   ``serve-load`` benchmark compares against);
-* each flush dispatches **one** evaluation of the concatenated pair
-  vector and scatters the answer slices back to the per-request
-  futures.
+* each flush makes **one** ``run_batch`` call with the buffered
+  payloads in submission order and hands result ``i`` to request
+  ``i``'s future.
+
+The batcher never looks inside a payload: ``len(payload)`` is its pair
+count (the admission and flush-size weight) and everything else is the
+flush function's business.  The gateway runs two instances per catalog
+entry over that one contract — JSON pair lists, concatenated into one
+``QueryService.query_batch`` call, and packed binary frames, handed to
+``QueryService.query_frames`` — told apart in the Prometheus exposition
+by their ``family`` prefix.
 
 Admission control bounds memory: at most ``max_pending`` pairs may be
 in flight (buffered or evaluating).  Over capacity, ``policy="block"``
@@ -38,7 +46,7 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import deque
-from typing import Awaitable, Callable
+from typing import Any, Awaitable, Callable
 
 from repro.exceptions import ReproError
 from repro.obs.tracing import BatchTicket
@@ -64,8 +72,12 @@ class MicroBatcher:
     Parameters
     ----------
     run_batch:
-        Async callable evaluating one concatenated pair list (the
-        gateway runs ``QueryService.query_batch`` on a worker thread).
+        Async callable answering one flush: it receives the buffered
+        request payloads, in submission order, and returns one result
+        per payload, aligned.
+    family:
+        Metric-family prefix of :meth:`collect`
+        (``<family>_flushes_total``, ...).
     max_batch:
         Flush as soon as this many pairs are buffered.
     max_delay:
@@ -78,6 +90,7 @@ class MicroBatcher:
     """
 
     def __init__(self, run_batch: Callable[[list], Awaitable[list]], *,
+                 family: str = "reach_batcher",
                  max_batch: int = 512, max_delay: float = 0.002,
                  max_pending: int = 8192, policy: str = "block") -> None:
         if max_batch < 1:
@@ -89,12 +102,13 @@ class MicroBatcher:
             raise ValueError(
                 f"policy must be 'block' or 'shed', got {policy!r}")
         self._run_batch = run_batch
+        self.family = family
         self.max_batch = max_batch
         self.max_delay = max_delay
         self.max_pending = max_pending
         self.policy = policy
         self._entries: list[
-            tuple[list, asyncio.Future, BatchTicket | None]] = []
+            tuple[Any, asyncio.Future, BatchTicket | None]] = []
         self._buffered = 0
         self._in_flight = 0
         self._timer: asyncio.TimerHandle | None = None
@@ -118,17 +132,18 @@ class MicroBatcher:
         self.flush_sizes: dict[int, int] = {}
 
     # -- public API -----------------------------------------------------
-    def try_submit(self, pairs: list,
+    def try_submit(self, payload,
                    ticket: BatchTicket | None = None
                    ) -> "asyncio.Future | None":
         """Synchronous fast path: enqueue without awaiting.
 
-        Returns the future that will carry the answers, or ``None``
-        when the admission queue is full under ``policy="block"`` (the
-        caller must fall back to the awaiting :meth:`submit`).  This
-        path exists because the gateway calls it once per request:
-        skipping the coroutine round-trip is a measurable win on the
-        serving hot path.
+        Returns the future that will carry the payload's result (an
+        empty payload is answered ``[]`` at once, without a flush), or
+        ``None`` when the admission queue is full under
+        ``policy="block"`` (the caller must fall back to the awaiting
+        :meth:`enqueue` or :meth:`submit`).  This path exists because
+        the gateway calls it once per request: skipping the coroutine
+        round-trip is a measurable win on the serving hot path.
 
         ``ticket`` (when given) collects the trace stamps — admission
         complete, flush start, kernel done — that the gateway turns
@@ -144,7 +159,7 @@ class MicroBatcher:
         loop = asyncio.get_running_loop()
         if self._closed:
             raise OverloadedError("batcher is shut down")
-        n = len(pairs)
+        n = len(payload)
         if n == 0:
             future: asyncio.Future = loop.create_future()
             future.set_result([])
@@ -162,11 +177,40 @@ class MicroBatcher:
                     f"in flight, capacity {self.max_pending})")
             return None
         self._in_flight += n
-        return self._enqueue(pairs, n, loop, ticket)
+        return self._enqueue(payload, n, loop, ticket)
 
-    async def submit(self, pairs: list,
-                     ticket: BatchTicket | None = None) -> list:
-        """Answers for one request's pairs, via a shared flush.
+    async def enqueue(self, payload,
+                      ticket: BatchTicket | None = None
+                      ) -> asyncio.Future:
+        """Admit ``payload`` — under the block policy waiting for queue
+        room — and return the future that will carry its result.
+
+        While a caller waits here it stops reading its connection, so
+        a full queue pushes back on the client through TCP.
+
+        Raises
+        ------
+        OverloadedError
+            As :meth:`try_submit`, and when the batcher shuts down
+            while the caller waits for room.
+        """
+        future = self.try_submit(payload, ticket)
+        if future is None:
+            loop = asyncio.get_running_loop()
+            n = len(payload)
+            while self._in_flight + n > self.max_pending:
+                waiter: asyncio.Future = loop.create_future()
+                self._waiters.append(waiter)
+                await waiter
+                if self._closed:
+                    raise OverloadedError("batcher is shut down")
+            self._in_flight += n
+            future = self._enqueue(payload, n, loop, ticket)
+        return future
+
+    async def submit(self, payload,
+                     ticket: BatchTicket | None = None):
+        """The result for one request's payload, via a shared flush.
 
         Raises
         ------
@@ -175,28 +219,15 @@ class MicroBatcher:
             either policy when a single request exceeds the whole
             queue capacity.
         """
-        future = self.try_submit(pairs, ticket)
-        if future is None:
-            # Block policy with a full queue: wait for room.
-            loop = asyncio.get_running_loop()
-            n = len(pairs)
-            while self._in_flight + n > self.max_pending:
-                waiter: asyncio.Future = loop.create_future()
-                self._waiters.append(waiter)
-                await waiter
-                if self._closed:
-                    raise OverloadedError("batcher is shut down")
-            self._in_flight += n
-            future = self._enqueue(pairs, n, loop, ticket)
-        return await future
+        return await (await self.enqueue(payload, ticket))
 
-    def _enqueue(self, pairs: list, n: int,
+    def _enqueue(self, payload, n: int,
                  loop: asyncio.AbstractEventLoop,
                  ticket: BatchTicket | None = None) -> asyncio.Future:
         future: asyncio.Future = loop.create_future()
         if ticket is not None:
             ticket.enqueued_at = time.perf_counter()
-        self._entries.append((pairs, future, ticket))
+        self._entries.append((payload, future, ticket))
         self._buffered += n
         if self._buffered >= self.max_batch or self.max_delay <= 0:
             self._flush()
@@ -272,22 +303,23 @@ class MicroBatcher:
             ("flush_failures", self.flush_failures,
              "Requests that failed even in isolation."),
         )
+        family = self.family
         families = [
-            {"name": f"reach_batcher_{name}_total", "type": "counter",
+            {"name": f"{family}_{name}_total", "type": "counter",
              "help": help_text, "samples": [({}, value)]}
             for name, value, help_text in counters]
         families.append({
-            "name": "reach_batcher_in_flight_pairs", "type": "gauge",
+            "name": f"{family}_in_flight_pairs", "type": "gauge",
             "help": "Pairs admitted but not yet answered.",
             "samples": [({}, self._in_flight)]})
         families.append({
-            "name": "reach_batcher_occupancy_flushes", "type": "gauge",
+            "name": f"{family}_occupancy_flushes", "type": "gauge",
             "help": "Flushes per power-of-two requests-per-flush "
                     "bucket.",
             "samples": [({"bucket": str(k)}, v) for k, v in
                         sorted(self.occupancy.items())]})
         families.append({
-            "name": "reach_batcher_flush_pairs_flushes",
+            "name": f"{family}_flush_pairs_flushes",
             "type": "gauge",
             "help": "Flushes per power-of-two pairs-per-flush bucket.",
             "samples": [({"bucket": str(k)}, v) for k, v in
@@ -312,7 +344,7 @@ class MicroBatcher:
         entries = self._entries
         self._entries = []
         self._buffered = 0
-        num_pairs = sum(len(pairs) for pairs, _, _ in entries)
+        num_pairs = sum(len(payload) for payload, _, _ in entries)
         self.flushes += 1
         self.flushed_requests += len(entries)
         self.flushed_pairs += num_pairs
@@ -329,27 +361,23 @@ class MicroBatcher:
         task.add_done_callback(self._tasks.discard)
 
     async def _execute(self, entries: list, num_pairs: int) -> None:
-        pairs = [pair for entry_pairs, _, _ in entries
-                 for pair in entry_pairs]
+        payloads = [payload for payload, _, _ in entries]
         flush_at = time.perf_counter()
         for _, _, ticket in entries:
             if ticket is not None:
                 ticket.flush_at = flush_at
         try:
             try:
-                answers = await self._run_batch(pairs)
+                results = await self._run_batch(payloads)
             except Exception:
                 await self._execute_isolated(entries)
                 return
             kernel_done = time.perf_counter()
-            offset = 0
-            for entry_pairs, future, ticket in entries:
-                n = len(entry_pairs)
+            for (_, future, ticket), result in zip(entries, results):
                 if ticket is not None:
                     ticket.kernel_done = kernel_done
                 if not future.done():
-                    future.set_result(list(answers[offset:offset + n]))
-                offset += n
+                    future.set_result(result)
         finally:
             self._release(num_pairs)
 
@@ -357,11 +385,11 @@ class MicroBatcher:
         """Fallback after a failed flush: evaluate per request so one
         bad query (unknown node, say) only fails its own submitter."""
         self.isolation_reruns += 1
-        for entry_pairs, future, ticket in entries:
+        for payload, future, ticket in entries:
             if future.done():
                 continue
             try:
-                answers = await self._run_batch(list(entry_pairs))
+                results = await self._run_batch([payload])
             except Exception as exc:
                 self.flush_failures += 1
                 if ticket is not None:
@@ -372,4 +400,4 @@ class MicroBatcher:
                 if ticket is not None:
                     ticket.kernel_done = time.perf_counter()
                 if not future.done():
-                    future.set_result(list(answers))
+                    future.set_result(results[0])

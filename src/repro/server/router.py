@@ -155,9 +155,6 @@ class WorkerFleet:
     server_options:
         Picklable :class:`~repro.server.server.ServerConfig` keywords
         applied to every worker (``max_batch``, ``policy``, ...).
-    service_options:
-        :class:`~repro.core.service.QueryService` keywords for the
-        attach path.
     max_restarts / base_delay / max_delay / jitter / healthy_after /
     seed:
         Per-worker supervisor knobs, matching
@@ -192,7 +189,6 @@ class WorkerFleet:
                  port: int = 0,
                  tenants: list[dict] | None = None,
                  server_options: dict | None = None,
-                 service_options: dict | None = None,
                  max_restarts: int | None = 8,
                  base_delay: float = 0.1, max_delay: float = 5.0,
                  jitter: float = 0.25, healthy_after: float = 30.0,
@@ -215,7 +211,6 @@ class WorkerFleet:
         self._host = host
         self._requested_port = port
         self._server_options = dict(server_options or {})
-        self._service_options = dict(service_options or {})
         self._max_restarts = max_restarts
         self._base_delay = base_delay
         self._max_delay = max_delay
@@ -492,7 +487,6 @@ class WorkerFleet:
     def _spawn(self, handle: _WorkerHandle) -> None:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         options = dict(self._server_options)
-        options["service_options"] = dict(self._service_options)
         options["default_generation"] = self._default_generation
         # Current tenant manifest: a respawned worker attaches every
         # tenant's *current* generation, not the one at fleet start.

@@ -1,15 +1,18 @@
 """The asyncio TCP gateway serving reachability queries.
 
 :class:`ReachServer` listens on a TCP port, speaks the newline-delimited
-JSON protocol of :mod:`repro.server.protocol`, and funnels every
-``query``/``batch`` request — across *all* open connections — through
-one :class:`~repro.server.batcher.MicroBatcher`, so concurrent clients
-share single ``QueryService.query_batch()`` kernel invocations.
+JSON protocol of :mod:`repro.server.protocol`, and serves a catalog of
+named indexes (:mod:`repro.server.tenancy`); the index it was started
+with is the catalog's ``default`` entry.  Every entry answers through
+its own pair of :class:`~repro.server.batcher.MicroBatcher` lanes, made
+by one factory: ``query``/``batch`` requests — across *all* open
+connections — coalesce in the entry's JSON lane into shared
+``QueryService.query_batch()`` kernel invocations.
 
 A connection may switch to the length-prefixed binary framing of
 :mod:`repro.server.binproto` by sending its magic preamble as the first
-request line; binary ``BATCH`` frames coalesce through a parallel
-:class:`_BinaryLane` (same admission knobs, same executor) into
+request line; binary ``BATCH`` frames coalesce in the entry's binary
+lane (same admission knobs, same executor) into
 ``QueryService.query_frames`` — packed pair bytes straight into the
 buffer-reusing :class:`~repro.core.fastkernel.FastKernel`, packed
 answer bitmaps straight out, no per-pair Python objects anywhere on
@@ -17,14 +20,15 @@ the path.
 
 Concurrency model
 -----------------
-The event loop owns all protocol state; the numpy kernels run on a
+The event loop owns all protocol state; the numpy kernels run on one
 dedicated worker thread (``run_in_executor``), which keeps the loop
 responsive while a flush evaluates and lets the GIL-releasing numpy
 sections overlap with socket I/O.  Index rebuilds triggered by the
 ``reload`` verb run on a *separate* single-thread executor, so a
 rebuild never sits in front of query flushes; the swap itself is one
-attribute assignment, and every flush snapshots the service exactly
-once, so each flush is answered consistently by one index generation.
+attribute assignment on the catalog entry, and every flush snapshots
+its entry's service exactly once, so each flush is answered
+consistently by one index generation.
 
 Backpressure
 ------------
@@ -51,7 +55,7 @@ import threading
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -119,12 +123,6 @@ class ServerConfig:
     #: bytes (the old file moves to ``<path>.1``); ``None`` disables
     #: rotation.
     access_log_max_bytes: int | None = None
-    #: Worker threads evaluating query flushes.
-    executor_workers: int = 1
-    #: Retained for construction compatibility: latency percentiles
-    #: now come from fixed-bucket histograms (:mod:`repro.obs`), not a
-    #: reservoir, so this knob is accepted but unused.
-    latency_reservoir: int = 65536
     #: Bind an HTTP ``GET /metrics`` Prometheus scrape endpoint on
     #: this port (``0`` picks a free port — see
     #: ``ReachServer.metrics_port``); ``None`` disables it.
@@ -140,8 +138,6 @@ class ServerConfig:
     #: slow-query log is exempt and considers *every* request, so the
     #: exact tail is never missed.  ``1`` records every request.
     span_sample: int = 8
-    #: Keyword arguments for services built by ``reload``.
-    service_options: dict = field(default_factory=dict)
     #: Optional hook applied to every service ``reload`` creates —
     #: the fault-injection seam (:mod:`repro.testing.faults` wraps
     #: services in a ``FlakyService`` here); ``None`` is a no-op.
@@ -370,119 +366,50 @@ class _FramePayload:
         return self.pairs
 
 
-class _BinaryLane(MicroBatcher):
-    """Micro-batcher lane for binary ``BATCH`` frames.
+def _answer_pairs(service: QueryService, payloads: list) -> list:
+    """JSON-lane flush: one ``query_batch`` over the concatenated pair
+    lists, sliced back into one answer list per request."""
+    answers = service.query_batch(
+        [pair for pairs in payloads for pair in pairs])
+    results = []
+    offset = 0
+    for pairs in payloads:
+        results.append(answers[offset:offset + len(pairs)])
+        offset += len(pairs)
+    return results
 
-    Shares every admission/flush mechanism with the JSON
-    :class:`MicroBatcher` (same ``max_batch``/``max_delay``/
-    ``max_pending``/``policy`` knobs, same waiter-based block policy,
-    same isolation rerun) but keeps payloads as packed bytes end to
-    end: a flush hands the raw frame payloads to
-    ``QueryService.query_frames`` and scatters back per-request
-    ``(count, bitmap)`` tuples.  A separate lane — rather than mixing
-    frames into the JSON batcher — because the JSON ``_execute`` path
-    concatenates Python pair lists, which is exactly the per-pair
-    object churn the binary protocol exists to avoid.
-    """
 
-    #: Prometheus family prefix (the JSON batcher owns ``reach_batcher``).
-    _FAMILY_PREFIX = "reach_binary_lane"
-
-    async def enqueue_when_ready(self, frame: _FramePayload,
-                                 ticket: BatchTicket | None = None
-                                 ) -> asyncio.Future:
-        """Block-policy admission: wait for queue room, then enqueue.
-
-        Like :meth:`submit` but returns the answer future instead of
-        awaiting it, so the caller can attach its timeout/completion
-        callbacks.  While one connection waits here its frame reads are
-        paused — TCP backpressure, mirroring the JSON read loop.
-        """
-        loop = asyncio.get_running_loop()
-        n = len(frame)
-        while self._in_flight + n > self.max_pending:
-            waiter: asyncio.Future = loop.create_future()
-            self._waiters.append(waiter)
-            await waiter
-            if self._closed:
-                raise OverloadedError("batcher is shut down")
-        self._in_flight += n
-        return self._enqueue(frame, n, loop, ticket)
-
-    async def _execute(self, entries: list, num_pairs: int) -> None:
-        frames = [frame.data for frame, _, _ in entries]
-        flush_at = time.perf_counter()
-        for _, _, ticket in entries:
-            if ticket is not None:
-                ticket.flush_at = flush_at
-        try:
-            try:
-                bitmaps = await self._run_batch(frames)
-            except Exception:
-                await self._execute_isolated(entries)
-                return
-            kernel_done = time.perf_counter()
-            for (frame, future, ticket), bitmap in zip(entries, bitmaps):
-                if ticket is not None:
-                    ticket.kernel_done = kernel_done
-                if not future.done():
-                    future.set_result((frame.pairs, bitmap))
-        finally:
-            self._release(num_pairs)
-
-    async def _execute_isolated(self, entries: list) -> None:
-        self.isolation_reruns += 1
-        for frame, future, ticket in entries:
-            if future.done():
-                continue
-            try:
-                bitmaps = await self._run_batch([frame.data])
-            except Exception as exc:
-                self.flush_failures += 1
-                if ticket is not None:
-                    ticket.kernel_done = time.perf_counter()
-                if not future.done():
-                    future.set_exception(exc)
-            else:
-                if ticket is not None:
-                    ticket.kernel_done = time.perf_counter()
-                if not future.done():
-                    future.set_result((frame.pairs, bitmaps[0]))
-
-    def collect(self) -> list[dict]:
-        families = super().collect()
-        for family in families:
-            family["name"] = family["name"].replace(
-                "reach_batcher", self._FAMILY_PREFIX, 1)
-        return families
+def _answer_frames(service: QueryService, payloads: list) -> list:
+    """Binary-lane flush: the packed frames go to ``query_frames``
+    untouched; each request gets its ``(count, bitmap)`` reply tuple."""
+    bitmaps = service.query_frames([frame.data for frame in payloads])
+    return [(frame.pairs, bitmap)
+            for frame, bitmap in zip(payloads, bitmaps)]
 
 
 class ReachServer:
-    """Asyncio TCP gateway over a :class:`QueryService`.
+    """Asyncio TCP gateway over a catalog of query services.
 
     Parameters
     ----------
     service:
-        The initial serving backend.  The server takes ownership: it
-        closes this service (and every service created by ``reload``)
-        at :meth:`stop`.
+        The default catalog entry's initial serving backend.  The
+        server takes ownership: it closes this service (and every
+        service created by ``reload``) at :meth:`stop`.
     scheme:
-        Scheme name used when ``reload`` rebuilds from a graph file
-        without an explicit ``scheme`` field.
+        The default entry's scheme — used when ``reload`` rebuilds it
+        from a graph file without an explicit ``scheme`` field, and
+        for tenants created without one.
     config:
         See :class:`ServerConfig`.
     """
 
     def __init__(self, service: QueryService, *, scheme: str = "dual-i",
                  config: ServerConfig | None = None) -> None:
-        self._service = service
-        self._scheme = scheme
         self._config = config or ServerConfig()
         self._server: asyncio.AbstractServer | None = None
         self._metrics_server: asyncio.AbstractServer | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
-        self._batcher: MicroBatcher | None = None
-        self._lane: _BinaryLane | None = None
         self._query_executor: ThreadPoolExecutor | None = None
         self._reload_executor: ThreadPoolExecutor | None = None
         self._retired: list[QueryService] = []
@@ -564,8 +491,8 @@ class ReachServer:
 
     @property
     def service(self) -> QueryService:
-        """The current serving backend (atomically swapped by reload)."""
-        return self._service
+        """The default entry's serving backend (swapped by reload)."""
+        return self._catalog.default.service
 
     @property
     def catalog(self) -> CatalogService:
@@ -601,27 +528,17 @@ class ReachServer:
         config = self._config
         self._loop = asyncio.get_running_loop()
         self._query_executor = ThreadPoolExecutor(
-            max_workers=config.executor_workers,
-            thread_name_prefix="repro-serve")
+            max_workers=1, thread_name_prefix="repro-serve")
         self._reload_executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-reload")
-        self._batcher = MicroBatcher(
-            self._run_batch, max_batch=config.max_batch,
-            max_delay=config.max_delay, max_pending=config.max_pending,
-            policy=config.policy)
-        self._lane = _BinaryLane(
-            self._run_frames, max_batch=config.max_batch,
-            max_delay=config.max_delay, max_pending=config.max_pending,
-            policy=config.policy)
-        # The batchers keep lock-free event-loop-confined counters;
-        # the collectors render them into families at scrape time.
-        self.stats.registry.register_collector(self._batcher.collect)
-        self.stats.registry.register_collector(self._lane.collect)
-        # The default entry serves through the shared lanes; tenant
-        # entries get their own lazily (see _entry_batcher).
-        default = self._catalog.default
-        default.batcher = self._batcher
-        default.lane = self._lane
+        # The default entry's lanes open eagerly and are the ones the
+        # ``stats`` document and the exposition report; tenant lanes
+        # open on first use.  The lanes keep lock-free
+        # event-loop-confined counters; the collectors render them
+        # into families at scrape time.
+        default = self._open_lanes(self._catalog.default)
+        self.stats.registry.register_collector(default.batcher.collect)
+        self.stats.registry.register_collector(default.lane.collect)
         self._open_access_log()
         self.flight.record("server_start",
                            worker=config.worker_label,
@@ -692,22 +609,12 @@ class ReachServer:
                                        timeout=1.0)
             except (asyncio.TimeoutError, TimeoutError):
                 pass
-        if self._batcher is not None:
-            await self._batcher.close()
-        if self._lane is not None:
-            await self._lane.close()
         for entry in self._catalog.entries():
-            # Tenant entries own their lanes; the default entry's are
-            # the shared ones closed above.
-            if entry.batcher is not None \
-                    and entry.batcher is not self._batcher:
-                await entry.batcher.close()
-            if entry.lane is not None and entry.lane is not self._lane:
-                await entry.lane.close()
+            await self._close_lanes(entry)
         for executor in (self._query_executor, self._reload_executor):
             if executor is not None:
                 executor.shutdown(wait=True)
-        closing = {id(self._service): self._service}
+        closing: dict[int, QueryService] = {}
         for service in self._retired:
             closing.setdefault(id(service), service)
         for entry in self._catalog.entries():
@@ -720,66 +627,49 @@ class ReachServer:
             self._log_file.close()
         self._log_file = None
 
-    # -- the shared kernel hook ----------------------------------------
-    async def _run_batch(self, pairs: list) -> list:
-        # One snapshot per flush: a hot swap mid-flush never mixes two
-        # index generations inside one answer vector.
-        service = self._service
-        assert self._loop is not None and self._query_executor is not None
-        return await self._loop.run_in_executor(
-            self._query_executor, service.query_batch, pairs)
+    # -- per-entry lanes -----------------------------------------------
+    def _lane(self, entry: CatalogEntry, answer, family: str
+              ) -> MicroBatcher:
+        """One lane of ``entry``: a micro-batcher whose flushes run
+        ``answer(service, payloads)`` on the query executor.
 
-    async def _run_frames(self, frames: list) -> list:
-        # Same snapshot discipline as _run_batch: one service (and so
-        # one FastKernel generation) per binary flush.
-        service = self._service
-        assert self._loop is not None and self._query_executor is not None
-        return await self._loop.run_in_executor(
-            self._query_executor, service.query_frames, frames)
+        The run closure snapshots ``entry.service`` once per flush, so
+        a hot swap mid-flush never mixes two index generations inside
+        one answer vector.
+        """
+        config = self._config
 
-    # -- per-tenant lanes ----------------------------------------------
-    def _entry_batcher(self, entry: CatalogEntry) -> MicroBatcher:
-        """The entry's JSON micro-batcher, materialised on first use.
+        async def run(payloads: list) -> list:
+            service = entry.service
+            assert self._loop is not None \
+                and self._query_executor is not None
+            return await self._loop.run_in_executor(
+                self._query_executor, answer, service, payloads)
 
-        Every tenant flushes through its own lanes so one flush never
+        return MicroBatcher(
+            run, family=family, max_batch=config.max_batch,
+            max_delay=config.max_delay, max_pending=config.max_pending,
+            policy=config.policy)
+
+    def _open_lanes(self, entry: CatalogEntry) -> CatalogEntry:
+        """Give ``entry`` its JSON batcher and binary lane.
+
+        Every entry flushes through its own lanes so one flush never
         mixes two tenants' pairs into one kernel call, and a slow or
         overloaded tenant queue cannot delay another tenant's flushes.
-        The run closure snapshots ``entry.service`` per flush — the
-        same generation-consistency discipline as :meth:`_run_batch`.
         """
-        if entry.batcher is None:
-            config = self._config
+        entry.batcher = self._lane(entry, _answer_pairs, "reach_batcher")
+        entry.lane = self._lane(entry, _answer_frames,
+                                "reach_binary_lane")
+        return entry
 
-            async def run(pairs: list, _entry=entry) -> list:
-                service = _entry.service
-                assert self._loop is not None \
-                    and self._query_executor is not None
-                return await self._loop.run_in_executor(
-                    self._query_executor, service.query_batch, pairs)
-
-            entry.batcher = MicroBatcher(
-                run, max_batch=config.max_batch,
-                max_delay=config.max_delay,
-                max_pending=config.max_pending, policy=config.policy)
-        return entry.batcher
-
-    def _entry_lane(self, entry: CatalogEntry) -> "_BinaryLane":
-        """The entry's binary lane, materialised on first use."""
-        if entry.lane is None:
-            config = self._config
-
-            async def run(frames: list, _entry=entry) -> list:
-                service = _entry.service
-                assert self._loop is not None \
-                    and self._query_executor is not None
-                return await self._loop.run_in_executor(
-                    self._query_executor, service.query_frames, frames)
-
-            entry.lane = _BinaryLane(
-                run, max_batch=config.max_batch,
-                max_delay=config.max_delay,
-                max_pending=config.max_pending, policy=config.policy)
-        return entry.lane
+    @staticmethod
+    async def _close_lanes(entry: CatalogEntry) -> None:
+        """Flush and close ``entry``'s lanes (waking blocked waiters
+        with ``overloaded``)."""
+        for lane in (entry.batcher, entry.lane):
+            if lane is not None:
+                await lane.close()
 
     # -- connection handling -------------------------------------------
     async def _handle_connection(self, reader: asyncio.StreamReader,
@@ -1009,12 +899,13 @@ class ReachServer:
             self._finish(conn, request_id, "batch", 0, started,
                          (0, b""), ticket=early, entry=entry)
             return
-        assert self._lane is not None and self._loop is not None
+        assert self._loop is not None
         ticket = BatchTicket(trace, started)
         ticket.parse_done = time.perf_counter()
         frame = _FramePayload(payload, num_pairs)
-        lane = entry.lane if entry.lane is not None \
-            else self._entry_lane(entry)
+        if entry.lane is None:
+            self._open_lanes(entry)
+        lane = entry.lane
         try:
             entry.admit(num_pairs)
         except OverloadedError as exc:
@@ -1027,7 +918,7 @@ class ReachServer:
             if future is None:
                 # Block policy with a full queue: pausing this
                 # connection's frame reads is the backpressure path.
-                future = await lane.enqueue_when_ready(frame, ticket)
+                future = await lane.enqueue(frame, ticket)
         except OverloadedError as exc:
             entry.release(num_pairs)
             self._finish(conn, request_id, "batch", num_pairs, started,
@@ -1089,7 +980,7 @@ class ReachServer:
                 return False
         except Exception:
             return False
-        assert self._batcher is not None and self._loop is not None
+        assert self._loop is not None
         trace = doc.get("trace")
         # None = mint lazily in _finish, only if a log consumes it.
         ticket = BatchTicket(trace if isinstance(trace, str) else None,
@@ -1104,7 +995,7 @@ class ReachServer:
                          ticket=ticket, entry=entry)
             return True
         try:
-            future = self._batcher.try_submit(pairs, ticket)
+            future = entry.batcher.try_submit(pairs, ticket)
         except OverloadedError as exc:
             entry.release(len(pairs))
             self._finish(conn, request_id, verb, len(pairs), started,
@@ -1323,7 +1214,6 @@ class ReachServer:
     async def _dispatch(self, request: Request,
                         ticket: BatchTicket | None = None
                         ) -> tuple[Any, int, "CatalogEntry | None"]:
-        assert self._batcher is not None
         verb = request.verb
         if verb == "ping":
             return "pong", 0, None
@@ -1401,8 +1291,9 @@ class ReachServer:
 
     async def _submit(self, entry: CatalogEntry, pairs: list,
                       ticket: BatchTicket | None = None) -> list:
-        batcher = entry.batcher if entry.batcher is not None \
-            else self._entry_batcher(entry)
+        if entry.batcher is None:
+            self._open_lanes(entry)
+        batcher = entry.batcher
         entry.admit(len(pairs))
         try:
             # asyncio.timeout (3.11+) is much cheaper than wait_for,
@@ -1443,12 +1334,13 @@ class ReachServer:
         journal — so a load balancer never routes to a server still
         replaying its state.
         """
-        ready = (self._server is not None and self._batcher is not None
-                 and self._service is not None)
+        default = self._catalog.default
+        ready = (self._server is not None and default.batcher is not None
+                 and default.service is not None)
         doc = {
             "ready": ready,
             "degraded": self._degraded is not None,
-            "scheme": self._scheme,
+            "scheme": default.scheme,
         }
         if self._state is not None:
             doc["ready"] = ready and self._state.recovered
@@ -1468,20 +1360,19 @@ class ReachServer:
         never nowhere); the server/batcher lifetime counters are never
         reset by this verb, matching the original semantics.
         """
-        assert self._batcher is not None
-        service = self._service
+        default = self._catalog.default
+        service = default.service
         return {
             "protocol_version": protocol.PROTOCOL_VERSION,
-            "scheme": self._scheme,
+            "scheme": default.scheme,
             "worker": self._config.worker_label,
             "degraded": self._degraded,
             "server": self.stats.as_dict(),
             "stages": self._spans.percentiles_ms(),
             "stage_exemplars": self._spans.exemplars(reset=reset),
             "slow_queries": self.slow_log.snapshot(reset=reset),
-            "batcher": self._batcher.stats(),
-            "binary_lane": (self._lane.stats()
-                            if self._lane is not None else None),
+            "batcher": default.batcher.stats(),
+            "binary_lane": default.lane.stats(),
             "catalog": self._catalog.describe(),
             "durability": (self._state.status()
                            if self._state is not None else None),
@@ -1503,7 +1394,7 @@ class ReachServer:
         text = self.metrics_exposition(reset=reset)
         if reset:
             self.stats.started_at = time.monotonic()
-            self._service.metrics.started_at = time.monotonic()
+            self.service.metrics.started_at = time.monotonic()
             self.slow_log.reset()
         return {"content_type": CONTENT_TYPE, "exposition": text}
 
@@ -1514,57 +1405,36 @@ class ReachServer:
         if self._config.worker_label is not None:
             const_labels = {"worker": self._config.worker_label}
         return render(self.stats.registry,
-                      self._service.metrics.registry, reset=reset,
+                      self.service.metrics.registry, reset=reset,
                       const_labels=const_labels)
 
     # -- hot index swap -------------------------------------------------
-    def install_service(self, new_service: QueryService,
-                        scheme: str | None = None) -> QueryService:
-        """Atomically swap the serving backend to ``new_service``.
+    def install(self, entry: CatalogEntry, new_service: QueryService,
+                *, scheme: str | None = None,
+                label_bytes: int | None = None) -> QueryService | None:
+        """Atomically swap ``entry``'s serving backend to
+        ``new_service``.
 
-        The single generation-swap primitive: the in-process ``reload``
-        and the fleet worker's parent-commanded swap both land here, so
-        the bookkeeping (swap counter, degraded flag, parking the old
-        service until shutdown) cannot diverge between the two paths.
+        The single generation-swap primitive: the in-process
+        ``reload`` and the fleet worker's parent-commanded swap land
+        here for every catalog entry, default or tenant, so the
+        bookkeeping (generation, swap counter, degraded flag, parking
+        the old service until shutdown) cannot diverge between paths.
         Every micro-batch flush snapshots the service it answers from,
         so in-flight flushes finish on the old generation and later
         flushes see the new one — never a mix.  Returns the retired
         service.
         """
-        old = self._service
-        self._service = new_service
-        if scheme is not None:
-            self._scheme = scheme
-        # The catalog's default entry mirrors the serving backend, so
-        # tenant-aware paths (admission accounting, per-tenant metrics,
-        # the catalog table) stay in lockstep with the swap.
-        self._catalog.install(self._catalog.default, new_service,
-                              scheme=self._scheme)
-        self._degraded = None
-        self.stats.swap()
-        # The old service may still be answering an in-progress flush
-        # on the worker thread, so closing it here would block; it is
-        # parked and closed at stop.
-        self._retired.append(old)
-        return old
-
-    def install_tenant(self, entry: CatalogEntry,
-                       new_service: QueryService, *,
-                       scheme: str | None = None,
-                       label_bytes: int | None = None
-                       ) -> QueryService | None:
-        """Hot-swap a tenant entry's serving backend.
-
-        The per-index twin of :meth:`install_service` — used by the
-        named ``reload`` path and the fleet worker's parent-commanded
-        per-index swap.  The retiring service is parked until shutdown
-        (in-flight flushes hold their per-flush snapshot of it).
-        """
         old = self._catalog.install(entry, new_service, scheme=scheme,
                                     label_bytes=label_bytes)
-        if old is not None:
-            self._retired.append(old)
+        if entry.index_id == DEFAULT_INDEX_ID:
+            self._degraded = None
         self.stats.swap()
+        if old is not None:
+            # The old service may still be answering an in-progress
+            # flush on the worker thread, so closing it here would
+            # block; it is parked and closed at stop.
+            self._retired.append(old)
         return old
 
     async def drop_tenant(self, name: str) -> CatalogEntry:
@@ -1594,7 +1464,7 @@ class ReachServer:
     async def _reload(self, payload: dict) -> dict:
         if self._config.reload_handler is not None:
             # Fleet mode: the parent rebuilds once and swaps every
-            # worker via install_service; this process only forwards.
+            # worker via install; this process only forwards.
             try:
                 return await self._config.reload_handler(payload)
             except ProtocolError:
@@ -1608,15 +1478,13 @@ class ReachServer:
         # ``index`` field stays the saved-index *path*, as it always
         # was.
         entry = self._catalog.lookup(payload.get("name"))
-        is_default = entry.index_id == DEFAULT_INDEX_ID
         graph_path = payload.get("graph")
         index_path = payload.get("index")
         if bool(graph_path) == bool(index_path):
             raise ProtocolError(
                 protocol.ERR_BAD_REQUEST,
                 "reload requires exactly one of 'graph' or 'index'")
-        scheme = payload.get("scheme",
-                             self._scheme if is_default else entry.scheme)
+        scheme = payload.get("scheme", entry.scheme)
         if not isinstance(scheme, str):
             raise ProtocolError(protocol.ERR_BAD_REQUEST,
                                 "scheme must be a string")
@@ -1643,32 +1511,28 @@ class ReachServer:
             # so — a failed swap must never take the service down.  A
             # failed *tenant* reload degrades only that entry's answer
             # (it keeps its last good index), never the whole server.
-            if is_default:
+            if entry.index_id == DEFAULT_INDEX_ID:
                 self.note_degraded(f"{type(exc).__name__}: {exc}")
             raise ProtocolError(protocol.ERR_RELOAD_FAILED,
                                 str(exc)) from None
         scheme_name = type(index).scheme_name or scheme
-        label: int | None = None
-        if not is_default:
-            # Admission (budget) runs before the durable commit: an
-            # over-budget index must never reach the journal.
-            try:
-                label = self._catalog.check_budget(entry, index)
-            except IndexBudgetExceeded as exc:
-                raise ProtocolError(protocol.ERR_RELOAD_FAILED,
-                                    str(exc)) from None
+        # Admission (budget) runs before the durable commit: an
+        # over-budget index must never reach the journal.  A refusal
+        # does not degrade the server: the entry keeps answering from
+        # its last good index.
+        try:
+            label = self._catalog.check_budget(entry, index)
+        except IndexBudgetExceeded as exc:
+            raise ProtocolError(protocol.ERR_RELOAD_FAILED,
+                                str(exc)) from None
         if self._state is not None:
             await self._persist_install(entry, index, scheme_name,
                                         label)
-        new_service = QueryService(index,
-                                   **self._config.service_options)
+        new_service = QueryService(index)
         if self._config.service_wrapper is not None:
             new_service = self._config.service_wrapper(new_service)
-        if is_default:
-            self.install_service(new_service, scheme_name)
-        else:
-            self.install_tenant(entry, new_service, scheme=scheme_name,
-                                label_bytes=label)
+        self.install(entry, new_service, scheme=scheme_name,
+                     label_bytes=label)
         stats = index.stats()
         for phase, phase_secs in stats.phase_seconds.items():
             self._build_phases.record(phase, phase_secs)
@@ -1686,8 +1550,7 @@ class ReachServer:
         }
 
     async def _persist_install(self, entry: CatalogEntry, index,
-                               scheme_name: str,
-                               label: int | None) -> None:
+                               scheme_name: str, label: int) -> None:
         """Make a freshly built generation durable *before* it serves.
 
         Runs on the reload executor (artifact write + fsync can take
@@ -1703,15 +1566,11 @@ class ReachServer:
         index_id = entry.index_id
 
         def persist() -> None:
-            from repro.server.durability import index_label_bytes
-
             generation = state.next_generation(name)
             artifact = state.save_index(index, name, generation)
             state.record_install(
                 name, index_id=index_id, scheme=scheme_name,
-                generation=generation,
-                label_bytes=(label if label is not None
-                             else index_label_bytes(index)),
+                generation=generation, label_bytes=label,
                 artifact=artifact)
 
         assert self._loop is not None \
@@ -1724,7 +1583,7 @@ class ReachServer:
             # the swap is refused and the last good index keeps
             # answering (degraded when it was the default's swap).
             if index_id == DEFAULT_INDEX_ID:
-                self._degraded = f"{type(exc).__name__}: {exc}"
+                self.note_degraded(f"{type(exc).__name__}: {exc}")
             raise ProtocolError(
                 protocol.ERR_RELOAD_FAILED,
                 f"durable persist failed: {exc}") from None
@@ -1760,7 +1619,7 @@ class ReachServer:
                                     str(exc)) from None
         if op == "create":
             quota = TenantQuota.from_payload(payload.get("quota"))
-            scheme = payload.get("scheme", self._scheme)
+            scheme = payload.get("scheme", self._catalog.default.scheme)
             if not isinstance(scheme, str):
                 raise ProtocolError(protocol.ERR_BAD_REQUEST,
                                     "scheme must be a string")
@@ -1852,11 +1711,7 @@ class ReachServer:
         wakes blocked waiters with ``overloaded``; requests arriving
         after the drop answer ``unknown_index`` at resolution.
         """
-        if entry.batcher is not None \
-                and entry.batcher is not self._batcher:
-            await entry.batcher.close()
-        if entry.lane is not None and entry.lane is not self._lane:
-            await entry.lane.close()
+        await self._close_lanes(entry)
         entry.batcher = None
         entry.lane = None
         if entry.service is not None:

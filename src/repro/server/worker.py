@@ -97,7 +97,6 @@ from __future__ import annotations
 import asyncio
 import itertools
 import sys
-from functools import partial
 
 from repro.core.service import QueryService
 from repro.exceptions import CorruptIndexError, ReproError
@@ -117,8 +116,9 @@ def worker_main(worker_id: int, segment: str, scheme: str, host: str,
     """Child-process entry point (must stay importable for ``spawn``).
 
     ``options`` carries picklable :class:`ServerConfig` keyword
-    arguments plus ``service_options`` for the attach path; ``conn``
-    is this worker's end of the control pipe.
+    arguments plus the fleet's startup manifest (tenants, default
+    generation, reload timeout); ``conn`` is this worker's end of the
+    control pipe.
     """
     try:
         code = asyncio.run(_worker_async(
@@ -133,14 +133,12 @@ async def _worker_async(worker_id: int, segment: str, scheme: str,
                         conn) -> int:
     loop = asyncio.get_running_loop()
     options = dict(options)
-    service_options = options.pop("service_options", {})
     reload_timeout = options.pop("reload_timeout", RELOAD_TIMEOUT)
     tenant_specs = options.pop("tenants", [])
     default_generation = options.pop("default_generation", 0)
 
     try:
-        service = QueryService.from_shared_memory(segment,
-                                                  **service_options)
+        service = QueryService.from_shared_memory(segment)
     except (FileNotFoundError, CorruptIndexError, OSError) as exc:
         _send(conn, ("attach_failed", worker_id,
                      f"{type(exc).__name__}: {exc}"))
@@ -193,7 +191,6 @@ async def _worker_async(worker_id: int, segment: str, scheme: str,
                           worker_label=str(worker_id),
                           reload_handler=delegate_reload,
                           catalog_handler=delegate_catalog,
-                          service_options=dict(service_options),
                           **options)
     server = ReachServer(service, scheme=scheme, config=config)
     if default_generation:
@@ -205,23 +202,17 @@ async def _worker_async(worker_id: int, segment: str, scheme: str,
     def attach_tenant(spec: dict) -> None:
         """Register (and, when published, attach) one tenant entry."""
         quota = TenantQuota(**(spec.get("quota") or {}))
-        entry = server.catalog.create(
-            spec["name"], scheme=spec["scheme"], quota=quota,
-            index_id=spec["index_id"])
         seg = spec.get("segment")
         if seg is None:
-            # Registered but empty: queries answer unknown_index.  A
-            # durable fleet still reports the entry's journal
-            # generation in `catalog list`.
-            if spec.get("generation"):
-                entry.generation = spec["generation"]
-            return
-        tenant_service = QueryService.from_shared_memory(
-            seg, **service_options)
-        label = server.catalog.check_budget(entry, tenant_service.index)
-        server.catalog.install(entry, tenant_service,
-                               scheme=spec["scheme"],
-                               label_bytes=label)
+            # Registered but empty: queries answer unknown_index.
+            entry = server.catalog.create(
+                spec["name"], scheme=spec["scheme"], quota=quota,
+                index_id=spec["index_id"])
+        else:
+            entry = server.add_tenant(
+                spec["name"], QueryService.from_shared_memory(seg),
+                scheme=spec["scheme"], quota=quota,
+                index_id=spec["index_id"])
         if spec.get("generation"):
             # Resume the parent's (possibly journal-restored)
             # generation count instead of this process's install tally,
@@ -241,8 +232,7 @@ async def _worker_async(worker_id: int, segment: str, scheme: str,
                       index_id: int = 0) -> None:
         try:
             new_service = await loop.run_in_executor(
-                None, partial(QueryService.from_shared_memory,
-                              new_segment, **service_options))
+                None, QueryService.from_shared_memory, new_segment)
         except (FileNotFoundError, CorruptIndexError, OSError) as exc:
             # Keep answering from the last good generation and say so
             # (a failed *tenant* attach degrades only that entry's
@@ -252,21 +242,17 @@ async def _worker_async(worker_id: int, segment: str, scheme: str,
             _send(conn, ("swap_err", worker_id, new_segment,
                          f"{type(exc).__name__}: {exc}"))
             return
-        if index_id == 0:
-            server.install_service(new_service, new_scheme)
-        else:
-            try:
-                entry = server.catalog.lookup_id(index_id)
-            except ProtocolError as exc:
-                # Unknown locally (a create raced this worker's
-                # respawn): swap_err makes the parent kill us, and the
-                # respawn manifest carries the full current catalog.
-                _send(conn, ("swap_err", worker_id, new_segment,
-                             exc.message))
-                new_service.close()
-                return
-            server.install_tenant(entry, new_service,
-                                  scheme=new_scheme)
+        try:
+            entry = server.catalog.lookup_id(index_id)
+        except ProtocolError as exc:
+            # Unknown locally (a create raced this worker's respawn):
+            # swap_err makes the parent kill us, and the respawn
+            # manifest carries the full current catalog.
+            _send(conn, ("swap_err", worker_id, new_segment,
+                         exc.message))
+            new_service.close()
+            return
+        server.install(entry, new_service, scheme=new_scheme)
         _send(conn, ("swap_ok", worker_id, new_segment))
 
     async def do_drop(name: str) -> None:

@@ -15,7 +15,10 @@ Unit-level proof of the ``--state-dir`` contracts
   and never touches quarantined files;
 * a corrupt saved-index artifact is quarantined at boot
   (:func:`restore_catalog`) and degrades the entry instead of
-  crashing startup.
+  crashing startup;
+* a live gateway whose durable persist fails refuses the swap and
+  enters degraded mode through the flight recorder, like a failed
+  build.
 """
 
 from __future__ import annotations
@@ -25,14 +28,18 @@ import shutil
 import pytest
 
 from repro.core.base import build_index
+from repro.core.service import QueryService
 from repro.exceptions import CorruptJournalError
 from repro.graph.generators import gnm_random_digraph
+from repro.graph.io import write_edge_list
+from repro.server.client import ReachClient, ServerReplyError
 from repro.server.durability import (
     INDEX_DIR,
     JOURNAL_NAME,
     DurableState,
     restore_catalog,
 )
+from repro.server.server import ReachServer, ServerConfig, ServerThread
 
 
 @pytest.fixture
@@ -380,3 +387,41 @@ class TestRestoreCatalog:
         assert tenant.index is None
         assert boot.degraded and "missing" in boot.degraded[0]
         reopened.close()
+
+
+class TestDurableInstall:
+    def test_failed_persist_degrades_through_the_flight_recorder(
+            self, tmp_path, index, monkeypatch):
+        """A default-index swap whose artifact cannot be saved is
+        refused, the old index keeps answering, and the server enters
+        degraded mode the way a failed build does: a ``degraded``
+        flight event and a dump."""
+        graph_path = tmp_path / "next.edges"
+        write_edge_list(gnm_random_digraph(40, 80, seed=8), graph_path)
+        state = _fresh(tmp_path / "state")
+
+        def broken_save(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(state, "save_index", broken_save)
+        flight_dir = tmp_path / "flight"
+        server = ReachServer(QueryService(index), config=ServerConfig(
+            state=state, flight_dir=str(flight_dir)))
+        pairs = [(u, v) for u in range(6) for v in range(6)]
+        expected = index.reachable_many(pairs)
+        try:
+            with ServerThread(server) as handle, \
+                    ReachClient(port=handle.port) as client:
+                with pytest.raises(ServerReplyError) as excinfo:
+                    client.reload(graph=str(graph_path))
+                assert excinfo.value.code == "reload_failed"
+                assert "durable persist failed" in str(excinfo.value)
+                assert client.health()["status"] == "degraded"
+                assert client.query_batch(pairs) == expected
+                doc = client.flight()
+        finally:
+            state.close()
+        degraded = [e for e in doc["events"] if e["kind"] == "degraded"]
+        assert degraded and "disk full" in degraded[-1]["reason"]
+        assert doc["dumps"] == 1
+        assert list(flight_dir.glob("flight-*-degraded.jsonl"))

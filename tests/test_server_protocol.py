@@ -114,6 +114,24 @@ def run(coro):
     return asyncio.run(coro)
 
 
+def per_request(run_pairs):
+    """Adapt a kernel stub over one flat pair list to the batcher's
+    flush contract: one call per flush with the buffered request
+    payloads, one answer list back per request."""
+
+    async def run_batch(payloads: list) -> list:
+        answers = await run_pairs(
+            [pair for pairs in payloads for pair in pairs])
+        results = []
+        offset = 0
+        for pairs in payloads:
+            results.append(list(answers[offset:offset + len(pairs)]))
+            offset += len(pairs)
+        return results
+
+    return run_batch
+
+
 def make_batcher(calls: list, **kwargs) -> MicroBatcher:
     """A batcher whose kernel records every flushed pair vector and
     answers ``u <= v`` (an order any scatter bug would break)."""
@@ -122,7 +140,7 @@ def make_batcher(calls: list, **kwargs) -> MicroBatcher:
         calls.append(list(pairs))
         return [u <= v for u, v in pairs]
 
-    return MicroBatcher(run_batch, **kwargs)
+    return MicroBatcher(per_request(run_batch), **kwargs)
 
 
 class TestFlushTriggers:
@@ -280,8 +298,8 @@ class TestIsolation:
                     raise KeyError("ghost")
                 return [True] * len(pairs)
 
-            batcher = MicroBatcher(run_batch, max_batch=4,
-                                   max_delay=60.0)
+            batcher = MicroBatcher(per_request(run_batch),
+                                   max_batch=4, max_delay=60.0)
             good, bad = await asyncio.gather(
                 batcher.submit([(0, 1), (1, 2)]),
                 batcher.submit([("ghost", 3), (4, 5)]),
@@ -311,16 +329,18 @@ class TestFlushFailurePaths:
                     raise RuntimeError("kernel down")
                 return [True] * len(pairs)
 
-            batcher = MicroBatcher(run_batch, max_batch=2,
-                                   max_delay=60.0)
+            batcher = MicroBatcher(per_request(run_batch),
+                                   max_batch=2, max_delay=60.0)
             # One flush of two requests: the flush call fails (1),
             # then each isolation rerun fails/succeeds per arming.
             first, second = await asyncio.gather(
                 batcher.submit([(0, 1)]),
                 batcher.submit([(2, 3)]),
                 return_exceptions=True)
-            # The batcher is still open for business afterwards.
-            recovered = await batcher.submit([(4, 5)])
+            # The batcher is still open for business afterwards (a
+            # second one-pair submit fills the flush to max_batch).
+            recovered, _ = await asyncio.gather(
+                batcher.submit([(4, 5)]), batcher.submit([(6, 7)]))
             stats = batcher.stats()
             await batcher.close()
             return first, second, recovered, stats
@@ -340,8 +360,9 @@ class TestFlushFailurePaths:
             async def run_batch(pairs: list) -> list:
                 raise RuntimeError("kernel permanently down")
 
-            batcher = MicroBatcher(run_batch, max_batch=4,
-                                   max_delay=60.0, max_pending=8)
+            batcher = MicroBatcher(per_request(run_batch),
+                                   max_batch=4, max_delay=60.0,
+                                   max_pending=8)
             results = await asyncio.gather(
                 *[batcher.submit([(i, i + 1)]) for i in range(4)],
                 return_exceptions=True)
@@ -365,9 +386,9 @@ class TestFlushFailurePaths:
                 await release.wait()
                 return [True] * len(pairs)
 
-            batcher = MicroBatcher(run_batch, max_batch=1,
-                                   max_delay=60.0, max_pending=2,
-                                   policy="shed")
+            batcher = MicroBatcher(per_request(run_batch),
+                                   max_batch=1, max_delay=60.0,
+                                   max_pending=2, policy="shed")
             admitted = [asyncio.ensure_future(batcher.submit([(0, 1)]))
                         for _ in range(2)]
             await asyncio.sleep(0)

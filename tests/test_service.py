@@ -1,4 +1,4 @@
-"""QueryService serving layer: batching, cache, sharding, metrics."""
+"""QueryService serving layer: batching, matrix queries, metrics."""
 
 from __future__ import annotations
 
@@ -90,65 +90,6 @@ class TestQueryBatch:
             assert service.metrics.queries == 1
 
 
-class TestSharding:
-    def test_sharded_equals_serial(self, vector_index, workload, expected):
-        with QueryService(vector_index, max_workers=4,
-                          chunk_size=32) as service:
-            assert service.query_batch(workload) == expected
-
-    def test_sharded_scalar_fallback(self, fallback_index, workload,
-                                     expected):
-        with QueryService(fallback_index, max_workers=3,
-                          chunk_size=64) as service:
-            assert service.query_batch(workload) == expected
-
-    def test_invalid_parameters(self, vector_index):
-        with pytest.raises(ValueError):
-            QueryService(vector_index, cache_size=-1)
-        with pytest.raises(ValueError):
-            QueryService(vector_index, max_workers=0)
-        with pytest.raises(ValueError):
-            QueryService(vector_index, chunk_size=0)
-
-
-class TestCache:
-    def test_cache_hits_match_cold_answers(self, vector_index, workload,
-                                           expected):
-        with QueryService(vector_index, cache_size=10_000) as service:
-            cold = service.query_batch(workload)
-            misses = service.metrics.cache_misses
-            warm = service.query_batch(workload)
-            assert cold == warm == expected
-            assert service.metrics.cache_misses == misses  # all hits
-            assert service.metrics.cache_hits >= len(workload)
-            assert 0 < service.metrics.cache_hit_rate < 1
-
-    def test_in_batch_dedupe_counts_as_hit(self, vector_index):
-        with QueryService(vector_index, cache_size=64) as service:
-            service.query_batch([(0, 9), (0, 9), (0, 9)])
-            assert service.metrics.cache_misses == 1
-            assert service.metrics.cache_hits == 2
-
-    def test_lru_eviction_bounds_cache(self, vector_index, workload):
-        with QueryService(vector_index, cache_size=16) as service:
-            service.query_batch(workload)
-            assert len(service._cache) <= 16
-
-    def test_clear_cache(self, vector_index, workload):
-        with QueryService(vector_index, cache_size=1000) as service:
-            service.query_batch(workload)
-            service.clear_cache()
-            misses = service.metrics.cache_misses
-            service.query_batch(workload[:5])
-            assert service.metrics.cache_misses > misses
-
-    def test_cached_scalar_fallback(self, fallback_index, workload,
-                                    expected):
-        with QueryService(fallback_index, cache_size=10_000) as service:
-            assert service.query_batch(workload) == expected
-            assert service.query_batch(workload) == expected
-
-
 class TestQueryMatrix:
     def test_matrix_matches_scalar(self, vector_index, graph):
         nodes = list(graph.nodes())
@@ -197,8 +138,7 @@ class TestMetrics:
         with QueryService(vector_index) as service:
             service.query_batch(workload)
             row = service.metrics.as_dict()
-        for key in ("queries", "batches", "positives", "cache_hits",
-                    "cache_misses", "cache_hit_rate", "kernel_queries",
+        for key in ("queries", "batches", "positives", "kernel_queries",
                     "scalar_queries", "queries_per_second",
                     "seconds_kernel", "seconds_map", "seconds_total"):
             assert key in row, key
@@ -208,7 +148,6 @@ class TestMetrics:
 
     def test_fresh_metrics_are_zero(self):
         metrics = ServiceMetrics()
-        assert metrics.cache_hit_rate == 0.0
         assert metrics.queries_per_second == 0.0
 
     def test_uptime_advances(self):
@@ -223,7 +162,7 @@ class TestMetrics:
     def test_reset_zeroes_counters_and_restarts_uptime(self,
                                                        vector_index,
                                                        workload):
-        with QueryService(vector_index, cache_size=256) as service:
+        with QueryService(vector_index) as service:
             service.query_batch(workload)
             metrics = service.metrics
             assert metrics.queries > 0
@@ -233,8 +172,6 @@ class TestMetrics:
             assert metrics.queries == 0
             assert metrics.batches == 0
             assert metrics.positives == 0
-            assert metrics.cache_hits == 0
-            assert metrics.cache_misses == 0
             assert metrics.kernel_queries == 0
             assert metrics.scalar_queries == 0
             assert metrics.stage_seconds == {}
@@ -244,7 +181,7 @@ class TestMetrics:
             assert metrics.queries == 10
 
     def test_repr_and_close_idempotent(self, vector_index):
-        service = QueryService(vector_index, max_workers=2)
+        service = QueryService(vector_index)
         assert "vectorised" in repr(service)
         service.close()
         service.close()

@@ -343,6 +343,31 @@ class TestCatalogVerbs:
             assert rows["tiny"]["loaded"] is False
             assert client.health()["status"] == "ok"
 
+    def test_label_budget_binds_the_default_index(self, graphs):
+        """The default entry's ``max_label_bytes`` refuses a reload
+        exactly as a tenant's does: the generation stays, the old
+        index keeps answering, and the server is not degraded."""
+        graph, _ = graphs["main"]
+        _, t1_path = graphs["t1"]
+        index = build_index(graph, scheme="dual-i")
+        pairs = _pairs(graph)
+        expected = index.reachable_many(pairs)
+        with serve(index) as handle, \
+                ReachClient(port=handle.port) as client:
+            client.catalog("quota", name="default",
+                           quota={"max_label_bytes": 1})
+            before = {r["name"]: r for r in client.catalog_list()}
+            with pytest.raises(ServerReplyError) as excinfo:
+                client.reload(graph=t1_path)
+            assert excinfo.value.code == "reload_failed"
+            assert "budget" in str(excinfo.value)
+            after = {r["name"]: r for r in client.catalog_list()}
+            assert after["default"]["generation"] == \
+                before["default"]["generation"]
+            assert client.query_batch(pairs) == expected
+            assert client.stats()["server"]["index_swaps"] == 0
+            assert client.health()["status"] == "ok"
+
     def test_load_saved_index_into_tenant(self, graphs, tmp_path):
         graph, _ = graphs["main"]
         t2_graph, _ = graphs["t2"]
